@@ -92,7 +92,8 @@ def run_family_profiled(name: str, scale: int = SCALE, seed: int = SEED):
     """:func:`run_family` under an enabled metrics registry.
 
     Returns ``(n_tasks, registry)`` — the registry carries the phase
-    spans (``tdg_build``/``graph_analysis``/``simulate``), the
+    spans (``workload_build``/``tdg_build``/``graph_analysis``/
+    ``simulate``), the
     ``dispatch`` timer and the end-of-run component counters that
     ``--profile`` tabulates.
     """
@@ -129,6 +130,7 @@ def report_profile(scale: int = SCALE, seed: int = SEED):
             [
                 name,
                 n_tasks,
+                _ms(spans, "workload_build"),
                 _ms(spans, "tdg_build"),
                 _ms(spans, "graph_analysis"),
                 _ms(timers, "dispatch"),
@@ -142,8 +144,8 @@ def report_profile(scale: int = SCALE, seed: int = SEED):
         "observability enabled ('simulate' spans contain 'dispatch')"
     )
     table(
-        ["family", "tasks", "tdg_build", "graph_analysis", "dispatch",
-         "simulate"],
+        ["family", "tasks", "workload_build", "tdg_build", "graph_analysis",
+         "dispatch", "simulate"],
         phase_rows,
     )
     banner("Runtime counters")

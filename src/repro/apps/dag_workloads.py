@@ -28,8 +28,12 @@ compute-bound (DVFS-sensitive) or memory-bound (DVFS-insensitive).
 Regions are **interned** (:meth:`repro.core.task.Region.interned`): a
 tile or layer slot touched by many tasks is one canonical ``Region``
 instance, so builders allocate no duplicate region objects and the
-dependence tracker's identity cache hits on every repeat access — the
-submission-path constant factor ROADMAP open item 2 targeted.
+dependence tracker's identity cache hits on every repeat access.  Each
+builder resolves its regions (tile grid, layer slots, ring buffers) once
+per call, not once per access, and ``Task.make`` turns each access into
+the region's shared interned ``Dependence``.  Both entry points,
+:func:`make_workload` and :func:`stream_window`, run inside a
+``workload_build`` observability span.
 
 :func:`stream_window` is the steady-state companion: rolling windows of
 tasks over a bounded ring of buffers, the workload shape the runtime's
@@ -43,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.task import Region, Task
+from ..obs.metrics import SPAN_WORKLOAD_BUILD, get_active
 
 __all__ = [
     "random_layered",
@@ -62,6 +67,12 @@ _R = Region.interned
 REFERENCE_HZ = 1e9
 
 
+def _check_mem_ratio(mem_ratio: float) -> None:
+    """Validate a builder's ``mem_ratio`` once, before its task loop."""
+    if not 0.0 <= mem_ratio < 1.0:
+        raise ValueError(f"mem_ratio must be in [0, 1), got {mem_ratio}")
+
+
 def _split_cost(
     total_cycles: float,
     mem_ratio: float,
@@ -71,11 +82,11 @@ def _split_cost(
     """Split a reference-cycle budget into (cpu_cycles, mem_seconds).
 
     ``mem_ratio`` of the task's reference-frequency duration becomes
-    memory time; optional ``jitter`` scales the whole budget by a
-    deterministic pseudo-random factor in ``[1 - j/2, 1 + j/2]``.
+    memory time (the caller has checked it with
+    :func:`_check_mem_ratio`); optional ``jitter`` scales the whole
+    budget by a deterministic pseudo-random factor in
+    ``[1 - j/2, 1 + j/2]``.
     """
-    if not 0.0 <= mem_ratio < 1.0:
-        raise ValueError(f"mem_ratio must be in [0, 1), got {mem_ratio}")
     if jitter and rng is not None:
         total_cycles *= 1.0 + jitter * (rng.random() - 0.5)
     mem_seconds = mem_ratio * total_cycles / REFERENCE_HZ
@@ -104,37 +115,43 @@ def random_layered(
         raise ValueError("need at least one layer and one node per layer")
     if fanin < 1:
         raise ValueError("fanin must be at least 1")
+    _check_mem_ratio(mem_ratio)
     rng = np.random.default_rng(seed)
     k = min(fanin, width)
     tasks: List[Task] = []
+    prev: List[Region] = []
     for layer in range(n_layers):
+        slots = [_R((f"L{layer}", j, j + 1)) for j in range(width)]
         for j in range(width):
             cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
             deps_in = []
             if layer > 0:
                 parents = rng.choice(width, size=k, replace=False)
-                deps_in = [
-                    _R((f"L{layer - 1}", int(p), int(p) + 1))
-                    for p in sorted(parents)
-                ]
+                parents.sort()
+                deps_in = [prev[p] for p in parents.tolist()]
             tasks.append(
                 Task.make(
                     f"l{layer}.n{j}",
                     cpu_cycles=cycles,
                     mem_seconds=mem_s,
                     in_=deps_in,
-                    out=[_R((f"L{layer}", j, j + 1))],
+                    out=[slots[j]],
                 )
             )
+        prev = slots
     return tasks
 
 
 # ----------------------------------------------------------------------
 # tiled dense factorisations
 # ----------------------------------------------------------------------
-def _tile(i: int, j: int, nt: int) -> Region:
-    idx = i * nt + j
-    return _R(("A", idx, idx + 1))
+def _tile_grid(nt: int) -> List[List[Region]]:
+    """The ``nt × nt`` tile regions, row-major over one ``A`` array:
+    ``grid[i][j]`` is tile ``(i, j)``."""
+    return [
+        [_R(("A", i * nt + j, i * nt + j + 1)) for j in range(nt)]
+        for i in range(nt)
+    ]
 
 
 def cholesky_tiles(
@@ -150,48 +167,50 @@ def cholesky_tiles(
     """
     if nt < 1:
         raise ValueError("need at least one tile")
+    _check_mem_ratio(mem_ratio)
+    potrf_c, potrf_m = _split_cost(cpu_cycles / 3.0, mem_ratio)
+    trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
+    gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
+    A = _tile_grid(nt)
     tasks: List[Task] = []
     for k in range(nt):
-        potrf_c, potrf_m = _split_cost(cpu_cycles / 3.0, mem_ratio)
         tasks.append(
             Task.make(
                 f"potrf.{k}",
                 cpu_cycles=potrf_c,
                 mem_seconds=potrf_m,
-                inout=[_tile(k, k, nt)],
+                inout=[A[k][k]],
             )
         )
         for i in range(k + 1, nt):
-            trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
             tasks.append(
                 Task.make(
                     f"trsm.{i}.{k}",
                     cpu_cycles=trsm_c,
                     mem_seconds=trsm_m,
-                    in_=[_tile(k, k, nt)],
-                    inout=[_tile(i, k, nt)],
+                    in_=[A[k][k]],
+                    inout=[A[i][k]],
                 )
             )
         for i in range(k + 1, nt):
-            syrk_c, syrk_m = _split_cost(cpu_cycles, mem_ratio)
+            # SYRK costs what TRSM does (same flop count).
             tasks.append(
                 Task.make(
                     f"syrk.{i}.{k}",
-                    cpu_cycles=syrk_c,
-                    mem_seconds=syrk_m,
-                    in_=[_tile(i, k, nt)],
-                    inout=[_tile(i, i, nt)],
+                    cpu_cycles=trsm_c,
+                    mem_seconds=trsm_m,
+                    in_=[A[i][k]],
+                    inout=[A[i][i]],
                 )
             )
             for j in range(k + 1, i):
-                gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
                 tasks.append(
                     Task.make(
                         f"gemm.{i}.{j}.{k}",
                         cpu_cycles=gemm_c,
                         mem_seconds=gemm_m,
-                        in_=[_tile(i, k, nt), _tile(j, k, nt)],
-                        inout=[_tile(i, j, nt)],
+                        in_=[A[i][k], A[j][k]],
+                        inout=[A[i][j]],
                     )
                 )
     return tasks
@@ -205,49 +224,50 @@ def lu_tiles(
     submatrix.  Denser than Cholesky (full trailing update each step)."""
     if nt < 1:
         raise ValueError("need at least one tile")
+    _check_mem_ratio(mem_ratio)
+    getrf_c, getrf_m = _split_cost(cpu_cycles / 2.0, mem_ratio)
+    trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
+    gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
+    A = _tile_grid(nt)
     tasks: List[Task] = []
     for k in range(nt):
-        getrf_c, getrf_m = _split_cost(cpu_cycles / 2.0, mem_ratio)
         tasks.append(
             Task.make(
                 f"getrf.{k}",
                 cpu_cycles=getrf_c,
                 mem_seconds=getrf_m,
-                inout=[_tile(k, k, nt)],
+                inout=[A[k][k]],
             )
         )
         for j in range(k + 1, nt):
-            trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
             tasks.append(
                 Task.make(
                     f"trsm_r.{k}.{j}",
                     cpu_cycles=trsm_c,
                     mem_seconds=trsm_m,
-                    in_=[_tile(k, k, nt)],
-                    inout=[_tile(k, j, nt)],
+                    in_=[A[k][k]],
+                    inout=[A[k][j]],
                 )
             )
         for i in range(k + 1, nt):
-            trsm_c, trsm_m = _split_cost(cpu_cycles, mem_ratio)
             tasks.append(
                 Task.make(
                     f"trsm_c.{i}.{k}",
                     cpu_cycles=trsm_c,
                     mem_seconds=trsm_m,
-                    in_=[_tile(k, k, nt)],
-                    inout=[_tile(i, k, nt)],
+                    in_=[A[k][k]],
+                    inout=[A[i][k]],
                 )
             )
         for i in range(k + 1, nt):
             for j in range(k + 1, nt):
-                gemm_c, gemm_m = _split_cost(2.0 * cpu_cycles, mem_ratio)
                 tasks.append(
                     Task.make(
                         f"gemm.{i}.{j}.{k}",
                         cpu_cycles=gemm_c,
                         mem_seconds=gemm_m,
-                        in_=[_tile(i, k, nt), _tile(k, j, nt)],
-                        inout=[_tile(i, j, nt)],
+                        in_=[A[i][k], A[k][j]],
+                        inout=[A[i][j]],
                     )
                 )
     return tasks
@@ -271,9 +291,12 @@ def fork_join_ladder(
     """
     if width < 1 or depth < 1:
         raise ValueError("need positive width and depth")
+    _check_mem_ratio(mem_ratio)
     rng = np.random.default_rng(seed)
+    join_c, join_m = _split_cost(cpu_cycles / 4.0, mem_ratio)
     tasks: List[Task] = []
     for d in range(depth):
+        round_in = [_R(f"round{d}")]
         for w in range(width):
             cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
             tasks.append(
@@ -281,14 +304,13 @@ def fork_join_ladder(
                     f"fork{d}.{w}",
                     cpu_cycles=cycles,
                     mem_seconds=mem_s,
-                    in_=[_R(f"round{d}")],
+                    in_=round_in,
                     # Per-round partial regions: forks of round d+1 must
                     # not serialise against round d's join (WAR) or each
                     # other.
                     out=[_R((f"partial{d}", w, w + 1))],
                 )
             )
-        join_c, join_m = _split_cost(cpu_cycles / 4.0, mem_ratio)
         tasks.append(
             Task.make(
                 f"join{d}",
@@ -318,23 +340,25 @@ def pipeline_grid(
     """
     if n_stages < 1 or n_items < 1:
         raise ValueError("need positive stage and item counts")
+    _check_mem_ratio(mem_ratio)
+    costs = [
+        _split_cost(cpu_cycles * (1.0 + stage_skew * s), mem_ratio)
+        for s in range(n_stages)
+    ]
+    states = [[_R(f"stage_state{s}")] for s in range(n_stages)]
     tasks: List[Task] = []
     for i in range(n_items):
+        item = [_R((f"item{i}", s, s + 1)) for s in range(n_stages)]
         for s in range(n_stages):
-            cycles, mem_s = _split_cost(
-                cpu_cycles * (1.0 + stage_skew * s), mem_ratio
-            )
-            deps_in = []
-            if s > 0:
-                deps_in.append(_R((f"item{i}", s - 1, s)))
+            cycles, mem_s = costs[s]
             tasks.append(
                 Task.make(
                     f"stage{s}.item{i}",
                     cpu_cycles=cycles,
                     mem_seconds=mem_s,
-                    in_=deps_in,
-                    inout=[_R(f"stage_state{s}")],
-                    out=[_R((f"item{i}", s, s + 1))],
+                    in_=[item[s - 1]] if s else (),
+                    inout=states[s],
+                    out=[item[s]],
                 )
             )
     return tasks
@@ -372,27 +396,30 @@ def stream_window(
         raise ValueError("need at least two ring buffers")
     if n_tasks < 1:
         raise ValueError("need at least one task per window")
-    rng = np.random.default_rng((seed, window))
-    k = min(fanin, n_buffers - 1)
-    base = window * n_tasks
-    tasks: List[Task] = []
-    for j in range(n_tasks):
-        out_buf = (base + j) % n_buffers
-        # Read k distinct buffers other than the one being rewritten.
-        reads = rng.choice(n_buffers - 1, size=k, replace=False)
-        cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
-        tasks.append(
-            Task.make(
-                f"w{window}.t{j}",
-                cpu_cycles=cycles,
-                mem_seconds=mem_s,
-                in_=[
-                    _R(f"buf{(int(r) + out_buf + 1) % n_buffers}")
-                    for r in reads
-                ],
-                out=[_R(f"buf{out_buf}")],
+    _check_mem_ratio(mem_ratio)
+    with get_active().span(SPAN_WORKLOAD_BUILD):
+        rng = np.random.default_rng((seed, window))
+        k = min(fanin, n_buffers - 1)
+        base = window * n_tasks
+        ring = [_R(f"buf{b}") for b in range(n_buffers)]
+        tasks: List[Task] = []
+        for j in range(n_tasks):
+            out_buf = (base + j) % n_buffers
+            # Read k distinct buffers other than the one being rewritten.
+            reads = rng.choice(n_buffers - 1, size=k, replace=False)
+            cycles, mem_s = _split_cost(cpu_cycles, mem_ratio, rng, jitter)
+            tasks.append(
+                Task.make(
+                    f"w{window}.t{j}",
+                    cpu_cycles=cycles,
+                    mem_seconds=mem_s,
+                    in_=[
+                        ring[(r + out_buf + 1) % n_buffers]
+                        for r in reads.tolist()
+                    ],
+                    out=[ring[out_buf]],
+                )
             )
-        )
     return tasks
 
 
@@ -477,4 +504,5 @@ def make_workload(
         raise ValueError(
             f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}"
         ) from None
-    return factory(scale=scale, seed=seed, **knobs)
+    with get_active().span(SPAN_WORKLOAD_BUILD):
+        return factory(scale=scale, seed=seed, **knobs)

@@ -39,6 +39,13 @@ per-region history slot *on the canonical instance* (see
 two attribute loads — instead of re-hashing name strings and bound
 tuples on every declared access.
 
+Dependences are interned one level further: :meth:`Task.make` hands out
+one shared, frozen :class:`Dependence` per (region, kind), created on
+first use with its packed kernel row already computed (see
+``_DEP_TABLE``), so declaring an access allocates nothing and a task's
+encoding is a gather of cached rows.  Name and triple specs resolve to
+the canonical region first; a :class:`Region` instance is used as given.
+
 Cost model
 ----------
 Simulated tasks carry a first-order execution cost split into a
@@ -248,6 +255,23 @@ _IID_STOPS = array("q")
 _IID_NAMES = array("q")
 _NAME_RANK: Dict[str, int] = {}
 
+#: Kind of each slot in a region's stretch of ``_DEP_TABLE``, in
+#: :meth:`Task.make` argument order.
+_SLOT_KINDS = (
+    DepKind.IN,
+    DepKind.OUT,
+    DepKind.INOUT,
+    DepKind.CONCURRENT,
+    DepKind.COMMUTATIVE,
+)
+_N_SLOTS = len(_SLOT_KINDS)
+_NO_DEPS = (None,) * _N_SLOTS
+#: Interned dependences: ``_DEP_TABLE[iid * _N_SLOTS + slot]`` is the one
+#: shared :class:`Dependence` of registry id ``iid`` and kind
+#: ``_SLOT_KINDS[slot]``, or ``None`` until first use.  It grows with the
+#: registry and, like it, never shrinks.
+_DEP_TABLE: List[Optional["Dependence"]] = []
+
 # The kernel reinterprets encodings as int32/int64 numpy views; both
 # typecodes must have the expected width on this platform.
 assert array("i").itemsize == 4 and array("q").itemsize == 8
@@ -262,15 +286,35 @@ def _register_region(region: Region) -> int:
     _IID_STARTS.append(region.start)
     _IID_STOPS.append(region.stop)
     _IID_NAMES.append(rank)
+    _DEP_TABLE.extend(_NO_DEPS)
     return iid
 
 
 @dataclass(frozen=True, slots=True)
 class Dependence:
-    """One declared access of a task: (kind, region)."""
+    """One declared access of a task: (kind, region).
+
+    :meth:`Task.make` never builds these per access: it hands out the
+    *interned* instance for each (region, kind) pair (see
+    :func:`_intern_dependence`), whose packed encoding row
+    ``(region._iid << 2) | kind_bits`` is computed once and cached in
+    ``_row``.  A hand-built or unpickled dependence starts with
+    ``_row == -1`` and gets its row on first encoding.  Like
+    ``Region._iid``, the row is process-local, so it is excluded from
+    equality, hashing, repr and pickles.
+    """
 
     kind: DepKind
     region: Region
+    _row: int = field(default=-1, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> Tuple[DepKind, Region]:
+        return (self.kind, self.region)
+
+    def __setstate__(self, state: Tuple[DepKind, Region]) -> None:
+        object.__setattr__(self, "kind", state[0])
+        object.__setattr__(self, "region", state[1])
+        object.__setattr__(self, "_row", -1)
 
 
 #: Low-2-bit kind codes in a task's dependence encoding: bit 1 set means
@@ -286,8 +330,33 @@ _KIND_BIT = {
 }
 
 
+def _intern_dependence(iid: int, slot: int) -> Dependence:
+    """Create the shared dependence for registry id ``iid`` and kind
+    ``_SLOT_KINDS[slot]`` (first use only), with its row pre-packed."""
+    dep = Dependence(_SLOT_KINDS[slot], _REGION_REGISTRY[iid])
+    _dep_row(dep)
+    _DEP_TABLE[iid * _N_SLOTS + slot] = dep
+    return dep
+
+
+def _dep_row(dep: Dependence) -> int:
+    """Packed row of a dependence that may not have one cached yet."""
+    row = dep._row
+    if row < 0:
+        region = dep.region
+        iid = region._iid
+        if iid < 0:
+            iid = _register_region(region)
+        row = (iid << 2) | _KIND_BIT[dep.kind]
+        object.__setattr__(dep, "_row", row)
+    return row
+
+
 def _encode_deps(deps: List[Dependence]) -> "array[int]":
     """Pack declared accesses as ``(region._iid << 2) | kind_bits`` rows.
+
+    Interned dependences carry their row, so the usual case is one
+    gather; only hand-built or unpickled dependences compute theirs.
 
     Rows are 32-bit: the kernel's per-batch working set then stays
     below glibc's mmap threshold and costs half the memory traffic of
@@ -295,16 +364,10 @@ def _encode_deps(deps: List[Dependence]) -> "array[int]":
     beyond what fits in memory — each Region object alone is >100
     bytes, so a registry that large could not exist.
     """
-    enc = array("i")
-    append = enc.append
-    bits = _KIND_BIT
-    for d in deps:
-        region = d.region
-        iid = region._iid
-        if iid < 0:
-            iid = _register_region(region)
-        append((iid << 2) | bits[d.kind])
-    return enc
+    rows = [d._row for d in deps]
+    if -1 in rows:
+        rows = [_dep_row(d) for d in deps]
+    return array("i", rows)
 
 
 class TaskState(Enum):
@@ -315,6 +378,7 @@ class TaskState(Enum):
 
 
 _task_ids = itertools.count()
+_INF = float("inf")
 
 
 @dataclass(slots=True)
@@ -357,7 +421,7 @@ class Task:
     priority: int = 0
 
     # identity ---------------------------------------------------------------
-    task_id: int = field(default_factory=lambda: next(_task_ids))
+    task_id: int = field(default_factory=_task_ids.__next__)
     #: Dense id in the owning graph's struct-of-arrays storage.  ``-1``
     #: while detached; assigned by :meth:`TaskGraph.add_task` (or, for a
     #: graphless :class:`~repro.core.deps.DependenceTracker`, a negative
@@ -389,8 +453,14 @@ class Task:
     _dep_enc: Any = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.cpu_cycles < 0 or self.mem_seconds < 0:
-            raise ValueError("task cost components must be non-negative")
+        # Chained compares reject NaN (every compare is False) and inf.
+        if not (
+            0.0 <= self.cpu_cycles < _INF and 0.0 <= self.mem_seconds < _INF
+        ):
+            raise ValueError(
+                "task cost components must be finite and non-negative, got "
+                f"cpu_cycles={self.cpu_cycles!r}, mem_seconds={self.mem_seconds!r}"
+            )
         self._dep_enc = _encode_deps(self.deps)
 
     def _refresh_dep_enc(self) -> "array[int]":
@@ -431,26 +501,35 @@ class Task:
         kwargs: Optional[dict] = None,
         priority: int = 0,
     ) -> "Task":
-        """Convenience constructor turning region specs into dependences."""
+        """Convenience constructor turning region specs into dependences.
+
+        A spec is a :class:`Region` (used as given) or a name / ``(name,
+        start, stop)`` triple (resolved to its canonical region, see
+        :meth:`Region.interned`); either way the access becomes the
+        region's interned :class:`Dependence` for its kind.
+        """
+        table = _DEP_TABLE
         deps: List[Dependence] = []
-        for kind, specs in (
-            (DepKind.IN, in_),
-            (DepKind.OUT, out),
-            (DepKind.INOUT, inout),
-            (DepKind.CONCURRENT, concurrent),
-            (DepKind.COMMUTATIVE, commutative),
-        ):
+        append = deps.append
+        for slot, specs in enumerate((in_, out, inout, concurrent, commutative)):
             for spec in specs:
-                deps.append(Dependence(kind, Region.of(spec)))
+                region = spec if isinstance(spec, Region) else Region.interned(spec)
+                iid = region._iid
+                if iid < 0:
+                    iid = _register_region(region)
+                dep = table[iid * _N_SLOTS + slot]
+                append(dep if dep is not None else _intern_dependence(iid, slot))
+        # Positional: matching keywords against the generated __init__'s
+        # 21 parameters costs ~15% of a task's construction.
         return cls(
-            label=label,
-            cpu_cycles=cpu_cycles,
-            mem_seconds=mem_seconds,
-            deps=deps,
-            fn=fn,
-            args=args,
-            kwargs=kwargs if kwargs is not None else {},
-            priority=priority,
+            label,
+            cpu_cycles,
+            mem_seconds,
+            deps,
+            fn,
+            args,
+            kwargs if kwargs is not None else {},
+            priority,
         )
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .metrics import (
     SPAN_PRUNE,
     SPAN_SIMULATE,
     SPAN_TDG_BUILD,
+    SPAN_WORKLOAD_BUILD,
     Metrics,
     MetricsRegistry,
     disable,
@@ -45,6 +46,7 @@ __all__ = [
     "SPAN_PRUNE",
     "SPAN_SIMULATE",
     "SPAN_TDG_BUILD",
+    "SPAN_WORKLOAD_BUILD",
     "Metrics",
     "MetricsRegistry",
     "disable",

@@ -54,21 +54,23 @@ def _cmd_export_trace(args: argparse.Namespace) -> int:
     from ..core.runtime import Runtime
     from ..core.schedulers import FifoScheduler
     from ..sim.machine import Machine
-    from .metrics import MetricsRegistry
+    from .metrics import scoped
     from .trace_export import export_chrome_trace
 
-    registry = MetricsRegistry()
-    tasks = make_workload(args.family, scale=args.scale, seed=args.seed)
-    machine = Machine(args.cores, initial_level=2)
-    rt = Runtime(
-        machine,
-        scheduler=FifoScheduler(),
-        record_trace=True,
-        prune_every=args.prune_every,
-        obs=registry,
-    )
-    rt.submit_all(tasks)
-    result = rt.run()
+    # Installed process-wide so the spans opened through get_active()
+    # (workload build, graph analysis) land in the trace too.
+    with scoped() as registry:
+        tasks = make_workload(args.family, scale=args.scale, seed=args.seed)
+        machine = Machine(args.cores, initial_level=2)
+        rt = Runtime(
+            machine,
+            scheduler=FifoScheduler(),
+            record_trace=True,
+            prune_every=args.prune_every,
+            obs=registry,
+        )
+        rt.submit_all(tasks)
+        result = rt.run()
     envelope = export_chrome_trace(
         args.out,
         trace=result.trace,

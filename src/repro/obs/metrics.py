@@ -30,6 +30,7 @@ from .timing import now
 
 __all__ = [
     "OBS_SCHEMA_VERSION",
+    "SPAN_WORKLOAD_BUILD",
     "SPAN_TDG_BUILD",
     "SPAN_DISPATCH",
     "SPAN_SIMULATE",
@@ -51,6 +52,7 @@ OBS_SCHEMA_VERSION = 1
 
 # Canonical phase-span names.  Spans measure *host* time spent inside a
 # phase of the reproduction pipeline; see docs/observability.md.
+SPAN_WORKLOAD_BUILD = "workload_build"
 SPAN_TDG_BUILD = "tdg_build"
 SPAN_DISPATCH = "dispatch"
 SPAN_SIMULATE = "simulate"

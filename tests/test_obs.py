@@ -26,6 +26,7 @@ from repro.obs import (
     OBS_SCHEMA_VERSION,
     SPAN_SIMULATE,
     SPAN_TDG_BUILD,
+    SPAN_WORKLOAD_BUILD,
     Metrics,
     MetricsRegistry,
     disable,
@@ -189,6 +190,57 @@ class TestRuntimeIntegration:
         assert obs is not None
         assert "prune" in obs["spans"]
         assert obs["counters"]["prune_reclaimed"] > 0
+
+
+# ----------------------------------------------------------------------
+# workload_build span
+# ----------------------------------------------------------------------
+class TestWorkloadBuildSpan:
+    def test_builders_record_one_span_per_call(self):
+        from repro.apps.dag_workloads import make_workload, stream_window
+
+        with scoped() as registry:
+            make_workload("lu", scale=1)
+            stream_window(0, n_tasks=16)
+            stream_window(1, n_tasks=16)
+        assert registry.span_totals()[SPAN_WORKLOAD_BUILD][1] == 3.0
+
+    def test_noop_when_obs_is_off(self):
+        from repro.apps.dag_workloads import make_workload
+
+        assert not enabled()
+        off = make_workload("layered", scale=1, seed=2)
+        with scoped() as registry:
+            on = make_workload("layered", scale=1, seed=2)
+        assert [t.label for t in on] == [t.label for t in off]
+        assert [t.deps for t in on] == [t.deps for t in off]
+        assert get_active().summary() is None
+        assert len(registry.spans) == 1
+
+    def test_scenario_obs_block_has_workload_build(self):
+        record = run_scenario(
+            Scenario("cholesky", scheduler="fifo", n_cores=4, seed=1), obs=True
+        )
+        assert SPAN_WORKLOAD_BUILD in record["obs"]["spans"]
+
+    def test_campaign_cli_records_identical_with_obs_on_and_off(
+        self, tmp_path, capsys
+    ):
+        from repro.campaign.cli import main as campaign_main
+
+        stores = {}
+        for flag in ((), ("--obs",)):
+            path = str(tmp_path / f"smoke{len(flag)}.jsonl")
+            argv = ["run", "--preset", "smoke", "--store", path, "--quiet"]
+            assert campaign_main(argv + list(flag)) == 0
+            stores[bool(flag)] = ResultStore(path)
+        assert stores[True].canonical_lines() == stores[False].canonical_lines()
+        assert all(r["obs"] is None for r in stores[False].records())
+        capsys.readouterr()
+        assert campaign_main(
+            ["report", "--store", str(tmp_path / "smoke1.jsonl"), "--metrics"]
+        ) == 0
+        assert f"span:{SPAN_WORKLOAD_BUILD}_s" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +469,10 @@ class TestObsCli:
         _validate_trace_events(envelope)
         assert envelope["metadata"]["family"] == "cholesky"
         assert "wrote" in capsys.readouterr().out
+        phases = {
+            e["name"] for e in envelope["traceEvents"] if e.get("cat") == "phase"
+        }
+        assert {SPAN_WORKLOAD_BUILD, SPAN_TDG_BUILD, SPAN_SIMULATE} <= phases
 
     def test_export_trace_with_prune(self, tmp_path, capsys):
         out = tmp_path / "pruned.json"
