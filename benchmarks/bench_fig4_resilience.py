@@ -141,10 +141,10 @@ def test_fig4_resilience(benchmark, records):
     # AFEIR hides most of FEIR's recovery latency.
     assert (times["afeir"] - ideal_t) < 0.5 * (times["feir"] - ideal_t)
     # Exactness: FEIR needs no extra iterations vs ideal.
-    assert abs(
-        picked["feir"]["metrics"]["n_tasks"]
-        - picked["ideal"]["metrics"]["n_tasks"]
-    ) <= 1
+    iterations = {s: picked[s]["metrics"]["n_tasks"] for s in picked}
+    assert abs(iterations["feir"] - iterations["ideal"]) <= 1
+    # Restart damaged the Krylov space: more iterations.
+    assert iterations["lossy_restart"] > iterations["ideal"]
 
 
 def test_multi_due_records_still_converge(records):

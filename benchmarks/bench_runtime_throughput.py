@@ -59,9 +59,7 @@ STREAM_BUFFERS = 64
 STREAM_PRUNE_EVERY = 256
 
 
-def run_family(
-    name: str, scale: int = SCALE, seed: int = SEED, backend: str | None = None
-):
+def run_family(name: str, scale: int = SCALE, seed: int = SEED):
     """Simulate one workload family; returns
     ``(n_tasks, host_seconds, tdg_seconds, result)``.
 
@@ -69,17 +67,11 @@ def run_family(
     any harness overhead.  ``tdg_seconds`` is the host-side
     TDG-construction slice (dependence registration + edge insertion) of
     ``host_seconds`` — the ROADMAP's tracker perf target is measured on
-    it at ``--scale 8``.  ``backend`` pins the dependence-tracker backend
-    (``python``/``numpy``) for A/B rows; ``None`` keeps the default.
+    it at ``--scale 8``.
     """
     tasks = make_workload(name, scale=scale, seed=seed)
     machine = Machine(N_CORES, initial_level=2)
-    rt = Runtime(
-        machine,
-        scheduler=FifoScheduler(),
-        record_trace=False,
-        dep_backend=backend,
-    )
+    rt = Runtime(machine, scheduler=FifoScheduler(), record_trace=False)
     t0 = time.perf_counter()
     rt.submit_all(tasks)
     tdg_s = time.perf_counter() - t0
@@ -163,22 +155,14 @@ def report_profile(scale: int = SCALE, seed: int = SEED):
     return counters_by_family
 
 
-def run_sweep(
-    scales: Sequence[int] = (SCALE,),
-    workers: int = 1,
-    backend: str | None = None,
-):
+def run_sweep(scales: Sequence[int] = (SCALE,), workers: int = 1):
     """The family × scale sweep through the campaign engine."""
-    matrix = build_preset("throughput", scales=tuple(scales), backend=backend)
+    matrix = build_preset("throughput", scales=tuple(scales))
     return run_campaign(matrix, workers=workers)
 
 
-def report(
-    scales: Sequence[int] = (SCALE,),
-    workers: int = 1,
-    backend: str | None = None,
-):
-    summary = run_sweep(scales, workers=workers, backend=backend)
+def report(scales: Sequence[int] = (SCALE,), workers: int = 1):
+    summary = run_sweep(scales, workers=workers)
     rows = []
     for rec in summary.records:
         scen, met, tim = rec["scenario"], rec["metrics"], rec["timing"]
@@ -194,7 +178,6 @@ def report(
             [
                 scen["family"],
                 scen["scale"],
-                scen.get("params", {}).get("dep_backend", "default"),
                 met["n_tasks"],
                 f"{tim['sim_s'] * 1e3:.1f} ms",
                 f"{tim.get('tdg_s', 0.0) * 1e3:.1f} ms",
@@ -205,10 +188,9 @@ def report(
     rows.sort(key=lambda r: (r[0], r[1]))
     banner(
         f"Runtime throughput — {N_CORES} cores, "
-        f"scales {tuple(scales)}, {len(FAMILIES)} workload families, "
-        f"dep backend {backend if backend is not None else 'default'}"
+        f"scales {tuple(scales)}, {len(FAMILIES)} workload families"
     )
-    table(["family", "scale", "backend", "tasks", "host time", "tdg build",
+    table(["family", "scale", "tasks", "host time", "tdg build",
            "sim throughput", "makespan"], rows)
     return summary
 
@@ -356,11 +338,6 @@ if __name__ == "__main__":
     )
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
-        "--backend", choices=("python", "numpy"), default=None,
-        help="pin the dependence-tracker backend for A/B rows "
-        "(default: the runtime default, numpy)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="print the observability phase breakdown + counter table "
         "(at the largest --scale) instead of the throughput sweep",
@@ -392,4 +369,4 @@ if __name__ == "__main__":
         report_profile(scale=max(scale_list))
     else:
         scale_list = tuple(int(s) for s in args.scale.split(",") if s)
-        report(scales=scale_list, workers=args.workers, backend=args.backend)
+        report(scales=scale_list, workers=args.workers)

@@ -15,7 +15,10 @@ seen region acts as a conservative witness that smears a writer across its
 full extent.  This is deliberately an over-approximation (it can only add
 edges, never drop one), and it is pinned bit-for-bit by the equivalence
 tests: any replacement structure must reproduce exactly these edges, or
-makespans shift.
+makespans shift.  One method derives them,
+:meth:`DependenceTracker.register_preds`; the runtime's per-task and bulk
+submission paths both call it once per task, so there is no second
+registration body to keep in lockstep.
 
 Interval index
 --------------
@@ -86,15 +89,8 @@ everything edge insertion needs), so retired tasks are collectible.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .depkernel import BatchResult
-    from .graph import TaskGraph
+from typing import Dict, List, Optional, Set, Tuple
 
 from .task import DepKind, Task, TaskState
 
@@ -107,6 +103,7 @@ _LONG_LEN = 1 << 30
 
 _IN = DepKind.IN
 _CONCURRENT = DepKind.CONCURRENT
+_setattr = object.__setattr__
 
 
 class _RegionHistory:
@@ -133,16 +130,12 @@ class _RegionHistory:
 
     __slots__ = (
         "start", "stop", "writers", "readers", "concurrents", "overlaps",
-        "ghost_w", "ghost_r", "ghost_c", "kid",
+        "ghost_w", "ghost_r", "ghost_c",
     )
 
     def __init__(self, start: int, stop: int) -> None:
         self.start = start
         self.stop = stop
-        # Dense batch-local id assigned by the vectorised kernel
-        # (repro.core.depkernel); -1 outside a batch.  Only ever read
-        # during the one register_batch call that created the history.
-        self.kid = -1
         # Member dicts are lazy: ``None`` until the first member of that
         # kind arrives (and reset back to ``None`` by compaction), so a
         # fresh history costs zero dict allocations.  Invariant: a member
@@ -185,9 +178,11 @@ class _NameIndex:
 class DependenceTracker:
     """Derives TDG edges from declared per-task data accesses.
 
-    The hot entry point is :meth:`register_preds`, which returns the
-    predecessor tasks directly (what the runtime consumes); :meth:`register`
-    wraps them into ``(pred, succ)`` pairs for the original API.
+    :meth:`register_preds` is the one method that derives edges: it
+    returns the predecessor tasks directly, and both the runtime's
+    per-task ``submit`` and its bulk ``submit_all`` call it once per task;
+    :meth:`register` wraps them into ``(pred, succ)`` pairs for the
+    original API.
     Instrumented counters (``scan_probes``, ``scan_matches``) expose how
     much index work registrations did, which the scale-regression tests
     pin to stay linear in the task count.
@@ -200,29 +195,15 @@ class DependenceTracker:
     __slots__ = (
         "_by_name", "_next_detached", "_graph", "_pruned", "edges_added",
         "scan_probes", "scan_matches", "cache_hits", "last_matches",
-        "last_depth_floor", "refs_released", "backend", "_pending",
-        "kernel_batches", "kernel_rows", "kernel_fallbacks",
+        "last_depth_floor", "refs_released",
     )
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = os.environ.get("REPRO_DEP_BACKEND", "numpy")
-        if backend not in ("python", "numpy"):
-            raise ValueError(
-                f"unknown dependence backend {backend!r}; "
-                "expected 'python' or 'numpy'"
-            )
-        if backend == "numpy":
-            from . import depkernel
+    #: Access rows registered by a vectorised batch path, which no longer
+    #: exists: always 0.  Kept read-only because ``perfbench/workloads.py``
+    #: still reads it for the ``deps.kernel_row_share`` traced metric.
+    kernel_rows = 0
 
-            if depkernel.np is None:  # pragma: no cover - numpy baked in
-                backend = "python"
-        #: Selected batch backend: "numpy" attempts the vectorised
-        #: kernel on fresh-tracker bulk submissions, "python" always
-        #: takes the scalar path.  Resolution order: explicit argument,
-        #: then the REPRO_DEP_BACKEND environment variable, then
-        #: "numpy" (falling back to "python" when numpy is missing).
-        self.backend = backend
+    def __init__(self) -> None:
         self._by_name: Dict[str, _NameIndex] = {}
         # Tracker-local dense ids for tasks registered outside any graph
         # (counting down from -2; graph-attached tasks use their gid >= 0,
@@ -258,16 +239,6 @@ class DependenceTracker:
         #: Strong Task references dropped by pruning so far (kept
         #: last-writer entries whose value became None).
         self.refs_released = 0
-        #: Member-writeback stash of the last vectorised batch
-        #: (histories + the kernel's sorted access arrays); drained by
-        #: _flush_members before any scalar path reads member dicts.
-        self._pending: Optional[Tuple[Any, ...]] = None
-        #: Vectorised batches executed / access rows they covered /
-        #: batch attempts that fell back to the scalar path — the
-        #: kernel_* observability counters (zero-cost plain ints).
-        self.kernel_batches = 0
-        self.kernel_rows = 0
-        self.kernel_fallbacks = 0
 
     # ------------------------------------------------------------------
     def _insert_history(
@@ -344,46 +315,6 @@ class DependenceTracker:
         return h
 
     # ------------------------------------------------------------------
-    def register_batch(
-        self, tasks: List[Task], graph: "TaskGraph"
-    ) -> Optional["BatchResult"]:
-        """Attempt the vectorised kernel on a whole submission batch.
-
-        Only a *fresh* tracker qualifies (no histories, no graph
-        binding, never pruned, no pending member flush) — then every
-        history the batch touches is kernel-created and the numpy
-        last-writer expansion reproduces the scalar merge exactly
-        (:mod:`repro.core.depkernel`).  Returns the kernel's
-        :class:`~repro.core.depkernel.BatchResult` for
-        :meth:`TaskGraph.add_task_batch`, or ``None`` (counting a
-        ``kernel_fallbacks`` hit) when the batch must take the scalar
-        path; a ``None`` return has no side effects.
-        """
-        if (
-            self.backend == "numpy"
-            and self._graph is None
-            and not self._by_name
-            and not self._pruned
-            and self._pending is None
-            and not graph.tasks
-        ):
-            from . import depkernel
-
-            result = depkernel.register_batch(self, tasks, graph)
-            if result is not None:
-                return result
-        self.kernel_fallbacks += 1
-        return None
-
-    def _flush_members(self) -> None:
-        """Drain the kernel's deferred member writeback (idempotent)."""
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            from . import depkernel
-
-            depkernel.flush_members(self, pending)
-
-    # ------------------------------------------------------------------
     def register(self, task: Task) -> Set[Tuple[Task, Task]]:
         """Register ``task``'s accesses; return the set of new edges.
 
@@ -415,24 +346,23 @@ class DependenceTracker:
         tuples and no Task-set materialisation on the submission hot path.
         For tasks not attached to a graph the ids are tracker-local
         negatives, useful only for dedup/counters.
+
+        ``submit_all`` calls this once per task, on fresh and warm (streamed,
+        pruned) trackers alike, so the per-call prelude is kept to one
+        graph-binding compare and the detached-id probe.
         """
-        if self._pending is not None:
-            # A vectorised batch deferred its member writeback; land it
-            # before this scalar registration reads any member dict.
-            self._flush_members()
         graph = task.graph
-        if graph is not None:
+        if graph is not self._graph and graph is not None:
             # Member dicts key by gid, which is only unique within one
             # graph: feeding one tracker tasks from two graphs would
             # silently collide ids and drop/merge dependences, so it is
             # an error, not a wrong answer.
-            if graph is not self._graph:
-                if self._graph is not None:
-                    raise ValueError(
-                        "tracker already bound to a different TaskGraph; "
-                        "one DependenceTracker serves one graph"
-                    )
-                self._graph = graph
+            if self._graph is not None:
+                raise ValueError(
+                    "tracker already bound to a different TaskGraph; "
+                    "one DependenceTracker serves one graph"
+                )
+            self._graph = graph
         tid = task.gid
         if tid == -1:
             tid = task.gid = self._next_detached
@@ -442,8 +372,6 @@ class DependenceTracker:
         hits = 0
         floor = 0
         pruned = self._pruned
-        by_name = self._by_name
-        setattr_ = object.__setattr__
         for dep in task.deps:
             region = dep.region
             kind = dep.kind
@@ -456,6 +384,7 @@ class DependenceTracker:
             else:
                 qstart = region.start
                 qstop = region.stop
+                by_name = self._by_name
                 entry = by_name.get(region.name)
                 if entry is None:
                     entry = by_name[region.name] = _NameIndex()
@@ -463,8 +392,8 @@ class DependenceTracker:
                 h = entry.exact.get(key)
                 if h is None:
                     h = self._insert_history(entry, qstart, qstop, key)
-                    setattr_(region, "_hist_owner", self)
-                    setattr_(region, "_hist", h)
+                    _setattr(region, "_hist_owner", self)
+                    _setattr(region, "_hist", h)
                     if len(h.overlaps) == 1:
                         # Brand-new region overlapping nothing: its
                         # (empty) history contributes no edges — just
@@ -480,8 +409,8 @@ class DependenceTracker:
                             h.writers = {tid: task}
                         continue
                 else:
-                    setattr_(region, "_hist_owner", self)
-                    setattr_(region, "_hist", h)
+                    _setattr(region, "_hist_owner", self)
+                    _setattr(region, "_hist", h)
             overlapping = h.overlaps
             n_over = len(overlapping)
             matches += n_over
@@ -622,200 +551,6 @@ class DependenceTracker:
         return preds
 
     # ------------------------------------------------------------------
-    def register_stream(
-        self, source: Iterable[Task], graph: Optional["TaskGraph"]
-    ) -> Iterator[List[int]]:
-        """Generator: ``register_preds`` for a stream of graph-attached
-        tasks, with the per-call overhead hoisted out of the loop.
-
-        The bulk-submission companion of :meth:`register_preds` — the
-        runtime's ``submit_all`` drives it in lockstep (the caller
-        attaches each task to ``graph`` and assigns its gid *before*
-        advancing the generator).  Semantics are identical to calling
-        :meth:`register_preds` per task — pinned by the tracker- and
-        graph-equivalence suites plus the submit-vs-submit_all test —
-        but the name-index/locals are bound once, the instrumentation
-        counters accumulate in frame locals (flushed on close/exhaustion,
-        including mid-batch failures), and the detached-id branch is
-        dropped (every task has a dense gid by construction).
-        ``last_depth_floor`` is still published per task when pruning has
-        run, since the caller consumes it between steps.
-        """
-        if graph is not None:
-            if graph is not self._graph:
-                if self._graph is not None:
-                    raise ValueError(
-                        "tracker already bound to a different TaskGraph; "
-                        "one DependenceTracker serves one graph"
-                    )
-                self._graph = graph
-        if self._pending is not None:
-            # Scalar streaming after a vectorised batch (e.g. the second
-            # window of a rolling submission): land the deferred member
-            # writeback before any member dict is read.
-            self._flush_members()
-        by_name = self._by_name
-        by_name_get = by_name.get
-        setattr_ = object.__setattr__
-        pruned = self._pruned
-        matches_total = 0
-        hits_total = 0
-        edges_total = 0
-        last_matches = self.last_matches  # unchanged if no task streams
-        try:
-            floor = 0
-            for task in source:
-                tid = task.gid
-                preds: Dict[int, Optional[Task]] = {}
-                matches = 0
-                if pruned:
-                    floor = 0
-                for dep in task.deps:
-                    region = dep.region
-                    kind = dep.kind
-                    if region._hist_owner is self:
-                        h = region._hist
-                        hits_total += 1
-                    else:
-                        qstart = region.start
-                        qstop = region.stop
-                        entry = by_name_get(region.name)
-                        if entry is None:
-                            entry = by_name[region.name] = _NameIndex()
-                        key = (qstart, qstop)
-                        h = entry.exact.get(key)
-                        if h is None:
-                            h = self._insert_history(entry, qstart, qstop, key)
-                            setattr_(region, "_hist_owner", self)
-                            setattr_(region, "_hist", h)
-                            if len(h.overlaps) == 1:
-                                matches += 1
-                                if kind is _IN:
-                                    h.readers = {tid: task}
-                                elif kind is _CONCURRENT:
-                                    h.concurrents = {tid: task}
-                                else:
-                                    h.writers = {tid: task}
-                                continue
-                        else:
-                            setattr_(region, "_hist_owner", self)
-                            setattr_(region, "_hist", h)
-                    overlapping = h.overlaps
-                    n_over = len(overlapping)
-                    matches += n_over
-                    if kind is _IN:
-                        if n_over == 1:
-                            w = h.writers
-                            if w:
-                                preds.update(w)
-                            c = h.concurrents
-                            if c:
-                                preds.update(c)
-                            if pruned:
-                                g = h.ghost_w if h.ghost_w >= h.ghost_c else h.ghost_c
-                                if g > floor:
-                                    floor = g
-                        else:
-                            for o in overlapping:
-                                w = o.writers
-                                if w:
-                                    preds.update(w)
-                                c = o.concurrents
-                                if c:
-                                    preds.update(c)
-                                if pruned:
-                                    g = o.ghost_w if o.ghost_w >= o.ghost_c else o.ghost_c
-                                    if g > floor:
-                                        floor = g
-                        r = h.readers
-                        if r is None:
-                            h.readers = {tid: task}
-                        else:
-                            r[tid] = task
-                    elif kind is _CONCURRENT:
-                        for o in overlapping:
-                            w = o.writers
-                            if w:
-                                preds.update(w)
-                            r = o.readers
-                            if r:
-                                preds.update(r)
-                            if pruned:
-                                g = o.ghost_w if o.ghost_w >= o.ghost_r else o.ghost_r
-                                if g > floor:
-                                    floor = g
-                        c = h.concurrents
-                        if c is None:
-                            h.concurrents = {tid: task}
-                        else:
-                            c[tid] = task
-                    else:
-                        if n_over == 1:
-                            w = h.writers
-                            if w:
-                                preds.update(w)
-                            r = h.readers
-                            if r:
-                                preds.update(r)
-                                h.readers = None
-                            c = h.concurrents
-                            if c:
-                                preds.update(c)
-                                h.concurrents = None
-                        else:
-                            for o in overlapping:
-                                w = o.writers
-                                if w:
-                                    preds.update(w)
-                                    w[tid] = task
-                                else:
-                                    o.writers = {tid: task}
-                                r = o.readers
-                                if r:
-                                    preds.update(r)
-                                c = o.concurrents
-                                if c:
-                                    preds.update(c)
-                                if pruned:
-                                    g = o.ghost_w
-                                    if o.ghost_r > g:
-                                        g = o.ghost_r
-                                    if o.ghost_c > g:
-                                        g = o.ghost_c
-                                    if g > floor:
-                                        floor = g
-                            if h.readers is not None:
-                                h.readers = None
-                            if h.concurrents is not None:
-                                h.concurrents = None
-                        if pruned:
-                            if n_over == 1:
-                                g = h.ghost_w
-                                if h.ghost_r > g:
-                                    g = h.ghost_r
-                                if h.ghost_c > g:
-                                    g = h.ghost_c
-                                if g > floor:
-                                    floor = g
-                            h.ghost_w = h.ghost_r = h.ghost_c = 0
-                        h.writers = {tid: task}
-                preds.pop(tid, None)
-                matches_total += matches
-                last_matches = matches
-                edges_total += len(preds)
-                if pruned:
-                    self.last_depth_floor = floor
-                yield preds
-        finally:
-            # Flush batched instrumentation even when the caller aborts
-            # mid-batch (duplicate task) — counter state must match what
-            # an equivalent register_preds loop would have left.
-            self.scan_matches += matches_total
-            self.cache_hits += hits_total
-            self.last_matches = last_matches
-            self.edges_added += edges_total
-
-    # ------------------------------------------------------------------
     def prune_finished(self) -> int:
         """Drop finished tasks that can no longer source live edges.
 
@@ -831,8 +566,6 @@ class DependenceTracker:
         graph-attached tasks, so a retired task is collectible the moment
         the graph releases its handle.  Returns entries removed.
         """
-        if self._pending is not None:
-            self._flush_members()
         self._pruned = True
         removed = 0
         released = 0
@@ -923,27 +656,17 @@ class DependenceTracker:
         """
         from .task import _REGION_INTERN
 
-        if self._pending is not None:
-            self._flush_members()
         cleared = 0
-        setattr_ = object.__setattr__
         for region in _REGION_INTERN.values():
             if region._hist_owner is self:
-                setattr_(region, "_hist_owner", None)
-                setattr_(region, "_hist", None)
+                _setattr(region, "_hist_owner", None)
+                _setattr(region, "_hist", None)
                 cleared += 1
         return cleared
 
     @property
     def live_regions(self) -> int:
-        """Distinct histories held by the name index (both tiers).
-
-        Drains the kernel's deferred member stash first: a fresh batch's
-        histories only materialise at flush time, and telemetry must not
-        depend on which backend built the TDG.
-        """
-        if self._pending is not None:
-            self._flush_members()
+        """Distinct histories held by the name index (both tiers)."""
         return sum(
             len(e.hists) + len(e.longs) for e in self._by_name.values()
         )
@@ -951,8 +674,6 @@ class DependenceTracker:
     @property
     def live_members(self) -> int:
         """Total member entries across all histories (pruning diagnostics)."""
-        if self._pending is not None:
-            self._flush_members()
         return sum(
             (len(h.writers) if h.writers else 0)
             + (len(h.readers) if h.readers else 0)
@@ -965,8 +686,6 @@ class DependenceTracker:
     @property
     def live_task_refs(self) -> int:
         """Member entries still holding a strong Task reference."""
-        if self._pending is not None:
-            self._flush_members()
         total = 0
         for e in self._by_name.values():
             for tier in (e.hists, e.longs):

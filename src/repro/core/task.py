@@ -41,10 +41,9 @@ tuples on every declared access.
 
 Dependences are interned one level further: :meth:`Task.make` hands out
 one shared, frozen :class:`Dependence` per (region, kind), created on
-first use with its packed kernel row already computed (see
-``_DEP_TABLE``), so declaring an access allocates nothing and a task's
-encoding is a gather of cached rows.  Name and triple specs resolve to
-the canonical region first; a :class:`Region` instance is used as given.
+first use (see ``_DEP_TABLE``), so declaring an access allocates
+nothing.  Name and triple specs resolve to the canonical region first; a
+:class:`Region` instance is used as given.
 
 Cost model
 ----------
@@ -62,14 +61,12 @@ tasks the right power play in Section 3.1.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -146,11 +143,11 @@ class Region:
     skips the name and extent hash lookups entirely.  They are excluded
     from equality, hashing, repr and pickles.
 
-    ``_iid`` is the region's dense id in the process-global registry used
-    by the vectorised batch kernel (:mod:`repro.core.depkernel`): assigned
-    lazily the first time the region appears in a task's dependence
-    encoding, never reused, and — like the tracker cache — excluded from
-    equality, repr and pickles (ids are process-local).
+    ``_iid`` is the region's dense id into the interned-dependence table
+    (``_DEP_TABLE``): assigned lazily the first time :meth:`Task.make`
+    declares an access to the region, never reused, and — like the
+    tracker cache — excluded from equality, repr and pickles (ids are
+    process-local).
     """
 
     name: str
@@ -238,22 +235,14 @@ def clear_region_intern() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Interned-id registry for the vectorised batch kernel.
+# Interned dependences.
 #
-# Every Region that ever appears in a task's dependence encoding gets a
-# dense process-global id (stored on the instance as ``_iid``); its extent
-# is mirrored into parallel ``array('q')`` columns so the kernel can view
-# them as zero-copy numpy arrays per batch.  Ids are never reused:
-# ``clear_region_intern`` drops *canonical* instances but must not shrink
-# this registry, because encodings cached on live tasks keep referencing
-# the old ids.  Names are ranked through ``_NAME_RANK`` so the kernel can
-# group extents per name with integer compares instead of string hashing.
+# Every Region that ever appears in a ``Task.make`` access gets a dense
+# process-global id (stored on the instance as ``_iid``) indexing a
+# stretch of ``_DEP_TABLE``.  Ids are never reused: ``clear_region_intern``
+# drops *canonical* instances but must not shrink the table, because
+# regions handed out earlier keep their ids.
 # ---------------------------------------------------------------------------
-_REGION_REGISTRY: List[Region] = []
-_IID_STARTS = array("q")
-_IID_STOPS = array("q")
-_IID_NAMES = array("q")
-_NAME_RANK: Dict[str, int] = {}
 
 #: Kind of each slot in a region's stretch of ``_DEP_TABLE``, in
 #: :meth:`Task.make` argument order.
@@ -267,25 +256,16 @@ _SLOT_KINDS = (
 _N_SLOTS = len(_SLOT_KINDS)
 _NO_DEPS = (None,) * _N_SLOTS
 #: Interned dependences: ``_DEP_TABLE[iid * _N_SLOTS + slot]`` is the one
-#: shared :class:`Dependence` of registry id ``iid`` and kind
-#: ``_SLOT_KINDS[slot]``, or ``None`` until first use.  It grows with the
-#: registry and, like it, never shrinks.
+#: shared :class:`Dependence` of region id ``iid`` and kind
+#: ``_SLOT_KINDS[slot]``, or ``None`` until first use.  It grows by one
+#: stretch per registered region and never shrinks.
 _DEP_TABLE: List[Optional["Dependence"]] = []
-
-# The kernel reinterprets encodings as int32/int64 numpy views; both
-# typecodes must have the expected width on this platform.
-assert array("i").itemsize == 4 and array("q").itemsize == 8
 
 
 def _register_region(region: Region) -> int:
-    """Assign ``region`` its dense registry id (first-touch only)."""
-    iid = len(_REGION_REGISTRY)
+    """Assign ``region`` its dense id (first-touch only)."""
+    iid = len(_DEP_TABLE) // _N_SLOTS
     object.__setattr__(region, "_iid", iid)
-    _REGION_REGISTRY.append(region)
-    rank = _NAME_RANK.setdefault(region.name, len(_NAME_RANK))
-    _IID_STARTS.append(region.start)
-    _IID_STOPS.append(region.stop)
-    _IID_NAMES.append(rank)
     _DEP_TABLE.extend(_NO_DEPS)
     return iid
 
@@ -296,78 +276,21 @@ class Dependence:
 
     :meth:`Task.make` never builds these per access: it hands out the
     *interned* instance for each (region, kind) pair (see
-    :func:`_intern_dependence`), whose packed encoding row
-    ``(region._iid << 2) | kind_bits`` is computed once and cached in
-    ``_row``.  A hand-built or unpickled dependence starts with
-    ``_row == -1`` and gets its row on first encoding.  Like
-    ``Region._iid``, the row is process-local, so it is excluded from
-    equality, hashing, repr and pickles.
+    :func:`_intern_dependence`).  Equality and hashing are by value, so
+    an interned and a hand-built dependence on the same access compare
+    equal.
     """
 
     kind: DepKind
     region: Region
-    _row: int = field(default=-1, init=False, repr=False, compare=False)
-
-    def __getstate__(self) -> Tuple[DepKind, Region]:
-        return (self.kind, self.region)
-
-    def __setstate__(self, state: Tuple[DepKind, Region]) -> None:
-        object.__setattr__(self, "kind", state[0])
-        object.__setattr__(self, "region", state[1])
-        object.__setattr__(self, "_row", -1)
 
 
-#: Low-2-bit kind codes in a task's dependence encoding: bit 1 set means
-#: the access writes (OUT/INOUT/COMMUTATIVE share the scalar tracker's
-#: writer handling); the value 1 is reserved for CONCURRENT, which the
-#: batch kernel cannot express and treats as a whole-batch fallback.
-_KIND_BIT = {
-    DepKind.IN: 0,
-    DepKind.CONCURRENT: 1,
-    DepKind.OUT: 2,
-    DepKind.INOUT: 2,
-    DepKind.COMMUTATIVE: 2,
-}
-
-
-def _intern_dependence(iid: int, slot: int) -> Dependence:
-    """Create the shared dependence for registry id ``iid`` and kind
-    ``_SLOT_KINDS[slot]`` (first use only), with its row pre-packed."""
-    dep = Dependence(_SLOT_KINDS[slot], _REGION_REGISTRY[iid])
-    _dep_row(dep)
+def _intern_dependence(region: Region, iid: int, slot: int) -> Dependence:
+    """Create the shared dependence of ``region`` (registered as ``iid``)
+    for kind ``_SLOT_KINDS[slot]`` (first use only)."""
+    dep = Dependence(_SLOT_KINDS[slot], region)
     _DEP_TABLE[iid * _N_SLOTS + slot] = dep
     return dep
-
-
-def _dep_row(dep: Dependence) -> int:
-    """Packed row of a dependence that may not have one cached yet."""
-    row = dep._row
-    if row < 0:
-        region = dep.region
-        iid = region._iid
-        if iid < 0:
-            iid = _register_region(region)
-        row = (iid << 2) | _KIND_BIT[dep.kind]
-        object.__setattr__(dep, "_row", row)
-    return row
-
-
-def _encode_deps(deps: List[Dependence]) -> "array[int]":
-    """Pack declared accesses as ``(region._iid << 2) | kind_bits`` rows.
-
-    Interned dependences carry their row, so the usual case is one
-    gather; only hand-built or unpickled dependences compute theirs.
-
-    Rows are 32-bit: the kernel's per-batch working set then stays
-    below glibc's mmap threshold and costs half the memory traffic of
-    an int64 layout.  The id budget (2**29 distinct regions) is far
-    beyond what fits in memory — each Region object alone is >100
-    bytes, so a registry that large could not exist.
-    """
-    rows = [d._row for d in deps]
-    if -1 in rows:
-        rows = [_dep_row(d) for d in deps]
-    return array("i", rows)
 
 
 class TaskState(Enum):
@@ -446,12 +369,6 @@ class Task:
     core_id: Optional[int] = None
     result: Any = None
 
-    #: Packed dependence rows for the batch kernel (see ``_encode_deps``),
-    #: built once at construction so batch submission never walks
-    #: ``deps`` per access.  ``deps`` is a mutable list, so consumers must
-    #: treat a length mismatch as stale and call :meth:`_refresh_dep_enc`.
-    _dep_enc: Any = field(default=None, init=False, repr=False)
-
     def __post_init__(self) -> None:
         # Chained compares reject NaN (every compare is False) and inf.
         if not (
@@ -461,28 +378,6 @@ class Task:
                 "task cost components must be finite and non-negative, got "
                 f"cpu_cycles={self.cpu_cycles!r}, mem_seconds={self.mem_seconds!r}"
             )
-        self._dep_enc = _encode_deps(self.deps)
-
-    def _refresh_dep_enc(self) -> "array[int]":
-        """Re-pack ``deps`` after mutation (or after crossing a pickle)."""
-        enc = _encode_deps(self.deps)
-        self._dep_enc = enc
-        return enc
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The dependence encoding holds process-local registry ids; a
-        # clone in another process (or a deepcopy with fresh regions)
-        # must re-encode against its own registry, so it never travels.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_dep_enc"
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-        object.__setattr__(self, "_dep_enc", None)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -518,7 +413,10 @@ class Task:
                 if iid < 0:
                     iid = _register_region(region)
                 dep = table[iid * _N_SLOTS + slot]
-                append(dep if dep is not None else _intern_dependence(iid, slot))
+                append(
+                    dep if dep is not None
+                    else _intern_dependence(region, iid, slot)
+                )
         # Positional: matching keywords against the generated __init__'s
         # 21 parameters costs ~15% of a task's construction.
         return cls(

@@ -1,12 +1,13 @@
-"""Batched-dispatch equivalence: deferred wake-ups vs zero-delay events.
+"""Batched dispatch pinned against recorded results.
 
-The runtime's batched dispatch path (``batch_dispatch=True``, the default)
-coalesces every same-timestamp completion into one deferred ``_dispatch``
-call through :meth:`~repro.sim.events.Simulator.defer`, instead of paying a
-zero-delay trampoline event per wake-up.  These tests pin that the two
-paths produce bit-for-bit identical simulations — makespans, energy, stats
-— across all seven schedulers, the RSU modes, and the zero-duration-task
-corner where dispatch re-arms within a single timestamp.
+The runtime coalesces every same-timestamp completion into one deferred
+``_dispatch`` call through :meth:`~repro.sim.events.Simulator.defer`,
+instead of paying a zero-delay trampoline event per wake-up.  The
+trampoline path is gone; these tests pin the batched path to the
+makespans, energies and stats both paths produced (bit-identically) when
+the trampoline still existed — across all seven schedulers, the RSU
+modes, and the zero-duration-task corner where dispatch re-arms within a
+single timestamp.  Floats are pinned as ``float.hex`` strings.
 """
 
 import pytest
@@ -21,84 +22,146 @@ from repro.sim.machine import Machine
 ALL_SCHEDULERS = sorted(crunner.SCHEDULERS)
 ALL_RSU_MODES = sorted(crunner.RSU_MODES)
 
+#: scenario key -> (makespan hex, energy_j hex, stats), recorded from
+#: both dispatch paths (which agreed bit for bit).
+RECORDED = {
+    "fam:cholesky": (
+        "0x1.712fa66f235cap-6",
+        "0x1.aa89abe5cc780p-3",
+        {"tasks_finished": 20.0, "tasks_started": 20.0, "tasks_submitted": 20},
+    ),
+    "fam:fork_join": (
+        "0x1.8d6432db96db9p-9",
+        "0x1.76375ec944a41p-5",
+        {"tasks_finished": 36.0, "tasks_started": 36.0, "tasks_submitted": 36},
+    ),
+    "fam:pipeline": (
+        "0x1.b573eab367a12p-6",
+        "0x1.fe52b686396adp-3",
+        {"tasks_finished": 64.0, "tasks_started": 64.0, "tasks_submitted": 64},
+    ),
+    "rsu:annotated": (
+        "0x1.5072d01d9e8b3p+7",
+        "0x1.307b5a9bd6946p+11",
+        {
+            "critical_tasks_started": 8.0,
+            "dvfs_stall_seconds": 0.00020080000000000404,
+            "tasks_finished": 2008.0,
+            "tasks_started": 2008.0,
+            "tasks_submitted": 2008,
+        },
+    ),
+    "rsu:annotated-software": (
+        "0x1.507329165e255p+7",
+        "0x1.307bba549eabdp+11",
+        {
+            "critical_tasks_started": 8.0,
+            "dvfs_stall_seconds": 0.005866000000000267,
+            "tasks_finished": 2008.0,
+            "tasks_started": 2008.0,
+            "tasks_submitted": 2008,
+        },
+    ),
+    "rsu:heuristic": (
+        "0x1.5072d01d9e8b3p+7",
+        "0x1.307b5a9bd6946p+11",
+        {
+            "critical_tasks_started": 8.0,
+            "dvfs_stall_seconds": 0.00020080000000000404,
+            "tasks_finished": 2008.0,
+            "tasks_started": 2008.0,
+            "tasks_submitted": 2008,
+        },
+    ),
+    "rsu:oracle": (
+        "0x1.5072d01d9e8b3p+7",
+        "0x1.307b5a9bd6946p+11",
+        {
+            "critical_tasks_started": 8.0,
+            "dvfs_stall_seconds": 0.00020080000000000404,
+            "tasks_finished": 2008.0,
+            "tasks_started": 2008.0,
+            "tasks_submitted": 2008,
+        },
+    ),
+    "sched:bottom_level": (
+        "0x1.1779502a8673cp-7",
+        "0x1.1de99899f6b7ep-3",
+        {"tasks_finished": 48.0, "tasks_started": 48.0, "tasks_submitted": 48},
+    ),
+    "sched:breadth_first": (
+        "0x1.196d80878cd8bp-7",
+        "0x1.1e8d8873d83cfp-3",
+        {"tasks_finished": 48.0, "tasks_started": 48.0, "tasks_submitted": 48},
+    ),
+    "sched:cats": (
+        "0x1.196d80878cd8bp-7",
+        "0x1.1e8d8873d83cfp-3",
+        {"tasks_finished": 48.0, "tasks_started": 48.0, "tasks_submitted": 48},
+    ),
+    "sched:fifo": (
+        "0x1.196d80878cd8bp-7",
+        "0x1.1e8d8873d83cfp-3",
+        {"tasks_finished": 48.0, "tasks_started": 48.0, "tasks_submitted": 48},
+    ),
+    "sched:lifo": (
+        "0x1.1779502a8673cp-7",
+        "0x1.1de99899f6b7ep-3",
+        {"tasks_finished": 48.0, "tasks_started": 48.0, "tasks_submitted": 48},
+    ),
+    "sched:static": (
+        "0x1.1779502a8673cp-7",
+        "0x1.1de99899f6b7ep-3",
+        {"tasks_finished": 48.0, "tasks_started": 48.0, "tasks_submitted": 48},
+    ),
+    "sched:work_stealing": (
+        "0x1.1779502a8673cp-7",
+        "0x1.1de99899f6b7ep-3",
+        {"tasks_finished": 48.0, "tasks_started": 48.0, "tasks_submitted": 48},
+    ),
+}
 
-def run_scenario_both_ways(scenario):
-    """Execute one campaign scenario under each dispatch path."""
-    out = []
-    for batch in (True, False):
-        tasks = crunner._build_workload(scenario)
-        machine = crunner._build_machine(scenario)
-        rt = crunner._build_runtime(scenario, machine)
-        rt.batch_dispatch = batch
-        rt.submit_all(tasks)
-        if scenario.scheduler == "bottom_level" and rt.criticality is None:
-            rt.graph.compute_bottom_levels()
-        res = rt.run()
-        out.append(
-            (res.makespan, res.energy_j, res.stats.as_dict(),
-             machine.sim.events_processed)
-        )
-    return out
+
+def run_scenario(scenario):
+    """Execute one campaign scenario; floats as hex for exact compare."""
+    tasks = crunner._build_workload(scenario)
+    machine = crunner._build_machine(scenario)
+    rt = crunner._build_runtime(scenario, machine)
+    rt.submit_all(tasks)
+    if scenario.scheduler == "bottom_level" and rt.criticality is None:
+        rt.graph.compute_bottom_levels()
+    res = rt.run()
+    return (res.makespan.hex(), res.energy_j.hex(), res.stats.as_dict())
 
 
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("scheduler", ALL_SCHEDULERS)
     def test_makespan_bits_identical(self, scheduler):
-        batched, unbatched = run_scenario_both_ways(
-            Scenario("layered", scheduler=scheduler, n_cores=8)
-        )
-        assert batched[:3] == unbatched[:3]
+        got = run_scenario(Scenario("layered", scheduler=scheduler, n_cores=8))
+        assert got == RECORDED[f"sched:{scheduler}"]
 
     @pytest.mark.parametrize("family", ["cholesky", "fork_join", "pipeline"])
     def test_families_identical_under_fifo(self, family):
-        batched, unbatched = run_scenario_both_ways(
-            Scenario(family, scheduler="fifo", n_cores=8)
-        )
-        assert batched[:3] == unbatched[:3]
-
-    def test_batching_eliminates_trampoline_heap_traffic(self):
-        scenario = Scenario("layered", scheduler="fifo", n_cores=8)
-        pushes = {}
-        for batch in (True, False):
-            tasks = crunner._build_workload(scenario)
-            machine = crunner._build_machine(scenario)
-            rt = crunner._build_runtime(scenario, machine)
-            rt.batch_dispatch = batch
-            queue = machine.sim.queue
-            original_push = queue.push
-            count = 0
-
-            def counting_push(*args, _orig=original_push, **kwargs):
-                nonlocal count
-                count += 1
-                return _orig(*args, **kwargs)
-
-            queue.push = counting_push
-            rt.submit_all(tasks)
-            rt.run()
-            pushes[batch] = count
-        # The unbatched path pays one zero-delay trampoline event per
-        # dispatch wake-up; the deferred path pushes completions only.
-        assert pushes[True] < pushes[False]
+        got = run_scenario(Scenario(family, scheduler="fifo", n_cores=8))
+        assert got == RECORDED[f"fam:{family}"]
 
 
 class TestRsuModeEquivalence:
     @pytest.mark.parametrize("rsu", ALL_RSU_MODES)
     def test_rsu_modes_identical(self, rsu):
-        batched, unbatched = run_scenario_both_ways(
+        got = run_scenario(
             Scenario("chain", scheduler="cats", rsu=rsu, n_cores=8)
         )
-        assert batched[:3] == unbatched[:3]
+        assert got == RECORDED[f"rsu:{rsu}"]
 
 
 class TestZeroDurationCorner:
     """Zero-cost tasks complete at the timestamp they start: the dispatch
-    must re-arm within one timestamp, under both mechanisms identically."""
+    must re-arm within one timestamp."""
 
-    def _run(self, batch):
+    def test_zero_duration_chain_identical(self):
         machine = Machine(2, initial_level=2)
-        rt = Runtime(machine, record_trace=False, batch_dispatch=batch)
-        prev = None
+        rt = Runtime(machine, record_trace=False)
         for i in range(6):
             deps = {"in_": [f"x{i - 1}"]} if i else {}
             rt.submit(
@@ -106,13 +169,11 @@ class TestZeroDurationCorner:
             )
         rt.submit(Task.make("tail", cpu_cycles=1e6, in_=["x5"]))
         res = rt.run()
-        return res.makespan, res.energy_j, machine.sim.events_processed
-
-    def test_zero_duration_chain_identical(self):
-        batched = self._run(True)
-        unbatched = self._run(False)
-        assert batched[:2] == unbatched[:2]
-        assert batched[0] > 0  # the tail task still takes real time
+        assert (res.makespan.hex(), res.energy_j.hex()) == (
+            "0x1.0624dd2f1a9fcp-11",
+            "0x1.80c308feac42fp-10",
+        )
+        assert res.makespan > 0  # the tail task still takes real time
 
 
 class TestDeferPrimitive:

@@ -1,44 +1,31 @@
 """Interned dependences: equivalence against per-access construction.
 
 ``Task.make`` hands out one shared, frozen ``Dependence`` per (region,
-kind) with its packed kernel row computed once.  The oracle below is the
-construction it replaced — a fresh ``Dependence(kind, Region.of(spec))``
-per declared access, encoded by walking the accesses one at a time — and
-every shipped builder must produce the same accesses through both.
+kind).  The oracle below is the construction it replaced — a fresh
+``Dependence(kind, Region.of(spec))`` per declared access — and every
+shipped builder must produce the same accesses through both.
 """
 
 import copy
 import math
 import pickle
-from array import array
 
 import pytest
 
 from repro.apps import dag_workloads as dw
 from repro.apps import kernels, parsec
-from repro.core import task as task_mod
 from repro.core.task import (
     DepKind,
     Dependence,
     Region,
     Task,
-    _encode_deps,
     clear_region_intern,
 )
 
 
 # ----------------------------------------------------------------------
-# the oracle: per-access construction and encoding
+# the oracle: per-access construction
 # ----------------------------------------------------------------------
-_REF_KIND_BIT = {
-    DepKind.IN: 0,
-    DepKind.CONCURRENT: 1,
-    DepKind.OUT: 2,
-    DepKind.INOUT: 2,
-    DepKind.COMMUTATIVE: 2,
-}
-
-
 def reference_make(
     cls,
     label="task",
@@ -75,18 +62,6 @@ def reference_make(
         kwargs=kwargs if kwargs is not None else {},
         priority=priority,
     )
-
-
-def reference_encode(deps):
-    """The per-access encoder the row gather replaced."""
-    enc = array("i")
-    for d in deps:
-        region = d.region
-        iid = region._iid
-        if iid < 0:
-            iid = task_mod._register_region(region)
-        enc.append((iid << 2) | _REF_KIND_BIT[d.kind])
-    return enc
 
 
 class _CollectingRuntime:
@@ -158,12 +133,6 @@ class TestBuildersMatchOracle:
         reference = BUILDERS[name]()
         assert _accesses(interned) == _accesses(reference)
 
-    def test_encoding_is_a_fresh_encode(self, name):
-        for t in BUILDERS[name]():
-            enc = t._dep_enc.tobytes()
-            assert enc == _encode_deps(list(t.deps)).tobytes()
-            assert enc == reference_encode(t.deps).tobytes()
-
     def test_one_shared_dependence_per_region_and_kind(self, name):
         shared = {}
         for t in BUILDERS[name]():
@@ -194,35 +163,23 @@ class TestInterning:
         with pytest.raises(TypeError):
             Task.make("t", in_=[42])
 
-    def test_row_not_in_eq_hash_or_repr(self):
+    def test_interned_equals_hand_built(self):
         (interned,) = Task.make("t", out=["itn.eq"]).deps
         fresh = Dependence(DepKind.OUT, Region("itn.eq"))
-        assert fresh._row == -1 and interned._row >= 0
+        assert fresh is not interned
         assert fresh == interned and hash(fresh) == hash(interned)
         assert repr(fresh) == repr(interned)
-
-    def test_direct_construction_encodes_too(self):
-        dep = Dependence(DepKind.INOUT, Region("itn.direct"))
-        t = Task("t", deps=[dep])
-        assert t._dep_enc.tobytes() == reference_encode([dep]).tobytes()
-        assert dep._row == t._dep_enc[0]
 
     @pytest.mark.parametrize(
         "roundtrip",
         [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
         ids=["pickle", "deepcopy"],
     )
-    def test_roundtrip_drops_cached_rows_and_reencodes(self, roundtrip):
+    def test_roundtrip_drops_region_ids(self, roundtrip):
         t = Task.make("t", in_=["itn.p"], inout=[("itn.q", 0, 2)])
         clone = roundtrip(t)
-        assert clone._dep_enc is None
-        assert [d._row for d in clone.deps] == [-1, -1]
         assert [d.region._iid for d in clone.deps] == [-1, -1]
         assert clone.deps == t.deps
-        enc = clone._refresh_dep_enc()
-        assert enc.tobytes() == reference_encode(clone.deps).tobytes()
-        assert [d._row for d in clone.deps] == list(enc)
-        assert list(enc) != list(t._dep_enc)  # fresh regions, fresh ids
 
     def test_clear_region_intern_rebinds_to_new_canonical_regions(self):
         old = dw.make_workload("cholesky", scale=1)
@@ -234,18 +191,7 @@ class TestInterning:
                 assert d_new is not d_old
                 assert d_new.region is not d_old.region
                 assert d_new.region is Region.interned(d_new.region)
-                assert d_new._row != d_old._row
-        assert all(
-            t._dep_enc.tobytes() == reference_encode(t.deps).tobytes()
-            for t in old + new
-        )
-
-    def test_mutated_deps_detected_and_reencoded(self):
-        t = Task.make("t", in_=["itn.m"])
-        t.deps.append(Dependence(DepKind.OUT, Region("itn.n")))
-        assert len(t._dep_enc) != len(t.deps)
-        enc = t._refresh_dep_enc()
-        assert enc.tobytes() == reference_encode(t.deps).tobytes()
+                assert d_new.region._iid != d_old.region._iid
 
 
 class TestNonFiniteCosts:

@@ -294,3 +294,280 @@ class TestPruneCompaction:
         tr.register(Task.make("b", out=[("whole", 0, 8)]))
         tr.register(Task.make("c", out=[("other", 4, 6)]))
         assert tr.live_regions == 3
+
+
+# ----------------------------------------------------------------------
+# bulk submission: Runtime.submit_all vs the reference and a submit() loop
+# ----------------------------------------------------------------------
+# ``submit_all`` inlines graph insertion around ``register_preds``, so its
+# graph must match two oracles: the edge set of ``ReferenceTracker`` above,
+# and — order-sensitively — the predecessor lists, depths, ready counts,
+# tracker members and counters of a plain ``submit()`` loop.
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.dag_workloads import WORKLOADS, make_workload
+from repro.core.runtime import Runtime
+from repro.core.schedulers import FifoScheduler
+from repro.sim.machine import Machine
+
+
+def _make_runtime(prune_every=0):
+    return Runtime(
+        Machine(8, initial_level=2),
+        scheduler=FifoScheduler(),
+        record_trace=False,
+        prune_every=prune_every,
+    )
+
+
+def _build_tasks(specs):
+    """Fresh Task objects from ``[(label, [(kind, spec), ...]), ...]``.
+
+    Each run needs its own handles (registration mutates them), so the
+    spec list — not the task list — is the shared input.
+    """
+    tasks = []
+    for label, accesses in specs:
+        kwargs = {k: [] for k in _KINDS}
+        for kind, spec in accesses:
+            kwargs[kind].append(spec)
+        tasks.append(Task.make(label, **kwargs))
+    return tasks
+
+
+def _snapshot(rt):
+    """Order-sensitive structural state of the graph + tracker members."""
+    g = rt.graph
+    base = g.task_ids[0] if g.task_ids else 0
+    tr = rt.tracker
+    members = {}
+    for name, idx in tr._by_name.items():
+        for h in idx.hists + idx.longs:
+            members[(name, h.start, h.stop)] = (
+                list(h.writers) if h.writers else None,
+                list(h.readers) if h.readers else None,
+                list(h.concurrents) if h.concurrents else None,
+            )
+        members[(name, "tail")] = idx.append_tail
+        members[(name, "shape")] = (
+            len(idx.hists), len(idx.longs), len(idx.exact), idx.max_len
+        )
+    return {
+        "task_ids": [t - base for t in g.task_ids],
+        "preds": [list(p) for p in g.pred_ids],
+        "succs": [list(s) for s in g.succ_ids],
+        "depth": list(g.depth),
+        "unfinished": list(g.unfinished_preds),
+        "n_edges": g.n_edges,
+        "members": members,
+        "counters": (
+            tr.scan_matches, tr.cache_hits, tr.last_matches,
+            tr.edges_added, tr.scan_probes,
+        ),
+    }
+
+
+def _graph_edges(rt, tasks):
+    """The graph's edges as (pred label, succ label) pairs."""
+    label_of = {t.task_id: t.label for t in tasks}
+    ids = rt.graph.task_ids
+    return {
+        (label_of[ids[p]], label_of[ids[s]])
+        for s, preds in enumerate(rt.graph.pred_ids)
+        for p in preds
+    }
+
+
+def _run(specs, bulk, prune_every=0, windows=1):
+    """Submit a program through ``submit_all`` (``bulk``) or a
+    ``submit()`` loop; ``windows > 1`` splits it into that many
+    submissions with a full drain (``taskwait``) between them, so later
+    windows register against a warm (and, with ``prune_every``, pruned)
+    tracker.  Returns ``(snapshot, edges)``."""
+    rt = _make_runtime(prune_every=prune_every)
+    tasks = _build_tasks(specs)
+    step = max(1, -(-len(tasks) // windows))
+    for i in range(0, len(tasks), step):
+        window = tasks[i:i + step]
+        if bulk:
+            rt.submit_all(window)
+        else:
+            for t in window:
+                rt.submit(t)
+        if windows > 1:
+            rt.taskwait()
+    snap = _snapshot(rt)
+    edges = _graph_edges(rt, tasks)
+    rt.run()
+    snap["makespan"] = rt.machine.sim.now
+    snap["stats"] = rt.stats.as_dict()
+    return snap, edges
+
+
+def _reference_edges(specs):
+    ref = ReferenceTracker()
+    edges = set()
+    for task in _build_tasks(specs):
+        edges |= {(p.label, s.label) for p, s in ref.register(task)}
+    return edges
+
+
+def assert_bulk_equivalent(specs, prune_every=0, windows=1):
+    bulk, bulk_edges = _run(specs, True, prune_every, windows)
+    loop, _ = _run(specs, False, prune_every, windows)
+    for key in loop:
+        assert bulk[key] == loop[key], f"submit_all diverges on {key!r}"
+    if prune_every and windows > 1:
+        # Later windows miss edges from pruned (finished) members, but
+        # the replayed ghost depths and the ready counts must match the
+        # unpruned run exactly — and so must the simulation.
+        full, _ = _run(specs, True, 0, windows)
+        for key in ("depth", "unfinished", "makespan"):
+            assert bulk[key] == full[key], f"pruning diverges on {key!r}"
+    else:
+        assert bulk_edges == _reference_edges(specs)
+
+
+# Every kind, so each of the RAW (out->in), WAR (in->out), WAW
+# (out->out) hazard classes and the concurrent-group rules appear.
+_access = st.tuples(
+    st.sampled_from(_KINDS),
+    st.one_of(
+        # Interval access: arbitrary extent in a small coordinate space,
+        # so accesses overlap without matching exactly.
+        st.tuples(
+            st.sampled_from(("a", "b")),
+            st.integers(0, 20),
+            st.integers(1, 8),
+        ).map(lambda t: (t[0], t[1], t[1] + t[2])),
+        # Whole-object access: exercises the long-region tier.
+        st.sampled_from(("a", "b")),
+    ),
+)
+_program = st.lists(
+    st.lists(_access, min_size=1, max_size=3), min_size=1, max_size=40
+)
+
+
+def _specs(program):
+    return [(f"t{i}", acc) for i, acc in enumerate(program)]
+
+
+class TestSubmitAllFuzzed:
+    @settings(max_examples=60, deadline=None)
+    @given(_program)
+    def test_war_waw_raw_programs(self, program):
+        assert_bulk_equivalent(_specs(program))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_program)
+    def test_two_submission_windows(self, program):
+        """Mid-build completions: the second ``submit_all`` window lands
+        on a drained but warm tracker."""
+        assert_bulk_equivalent(_specs(program), windows=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_program, st.sampled_from((0, 1, 17)))
+    def test_prune_every_axis(self, program, prune_every):
+        assert_bulk_equivalent(
+            _specs(program), prune_every=prune_every, windows=2
+        )
+
+
+def _family_run(family, bulk, prune_every=0, windows=1):
+    rt = _make_runtime(prune_every=prune_every)
+    tasks = make_workload(family, scale=2, seed=1)
+    step = -(-len(tasks) // windows)
+    for i in range(0, len(tasks), step):
+        window = tasks[i:i + step]
+        if bulk:
+            rt.submit_all(window)
+        else:
+            for t in window:
+                rt.submit(t)
+        if windows > 1:
+            rt.taskwait()
+    snap = _snapshot(rt)
+    rt.run()
+    snap["makespan"] = rt.machine.sim.now
+    snap["stats"] = rt.stats.as_dict()
+    snap["live_regions"] = rt.tracker.live_regions
+    return snap
+
+
+class TestSubmitAllFamilies:
+    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    def test_family_submit_all_matches_submit_loop(self, family):
+        assert _family_run(family, True) == _family_run(family, False)
+
+    @pytest.mark.parametrize("prune_every", (0, 1, 17))
+    def test_family_prune_axis(self, prune_every):
+        # Two windows, so the second registers against pruned histories.
+        bulk = _family_run("cholesky", True, prune_every, windows=2)
+        assert bulk == _family_run("cholesky", False, prune_every, windows=2)
+        unpruned = _family_run("cholesky", True, windows=2)
+        for key in ("depth", "unfinished", "makespan"):
+            assert bulk[key] == unpruned[key], key
+
+
+class TestSubmitAllCorners:
+    def test_concurrent_group_edges(self):
+        rt = _make_runtime()
+        rt.submit_all([
+            Task.make("w", out=["x"]),
+            Task.make("c0", concurrent=["x"]),
+            Task.make("c1", concurrent=["x"]),
+        ])
+        # Both group members follow the writer, not each other.
+        assert rt.graph.n_edges == 2
+        assert rt.graph.pred_ids == [[], [0], [0]]
+
+    def test_second_window_edge_to_finished_writer(self):
+        rt = _make_runtime()
+        rt.submit_all([Task.make("a", out=["x"])])
+        rt.taskwait()
+        b = Task.make("b", in_=["x"])
+        rt.submit_all([b])
+        # The RAW edge lands, but a finished writer does not hold b back.
+        assert rt.graph.n_edges == 1
+        assert b.unfinished_preds == 0
+
+    def test_pruned_window_replays_ghost_depth(self):
+        # Window 2's writer loses its WAR edge to the pruned reader t1;
+        # the ghost depth must still put it below t1.
+        specs = [
+            ("t0", [("out", "x")]),
+            ("t1", [("in_", "x")]),
+            ("t2", [("out", "x")]),
+            ("t3", [("in_", "x")]),
+        ]
+        bulk, edges = _run(specs, True, prune_every=1, windows=2)
+        assert ("t1", "t2") not in edges
+        assert bulk["depth"] == [0, 1, 2, 3]
+
+    def test_witness_region_edges(self):
+        rt = _make_runtime()
+        rt.submit_all([
+            Task.make("w0", out=[("x", 0, 10)]),
+            Task.make("w1", out=[("x", 5, 15)]),
+            Task.make("r", in_=[("x", 0, 3)]),
+        ])
+        edges = {
+            (p, s)
+            for p in range(3)
+            for s in rt.graph.succ_ids[p]
+        }
+        assert edges == {(0, 1), (0, 2), (1, 2)}
+
+    def test_malformed_deps_roll_back(self):
+        # A broken dependence mid-batch raises, and the failing task is
+        # rolled back exactly as a submit() loop would leave it.
+        good = Task.make("good", out=["x"])
+        bad = Task.make("bad", in_=["x"])
+        bad.deps.append("not a dependence")
+        rt = _make_runtime()
+        with pytest.raises(AttributeError):
+            rt.submit_all([good, bad])
+        assert len(rt.graph) == 1  # good registered, bad rolled back
+        assert bad.gid == -1
